@@ -5,10 +5,10 @@
 // A fixed set of client threads issues repeated-address kQueryRequest
 // traffic against a ServingEngine in two regimes per worker count:
 //
-//   cold  — caches disabled: every request regenerates its proof via the
+//   cold  — cache disabled: every request regenerates its proof via the
 //           tree walk (no proof index), the work the cache amortizes.
-//   warm  — caches enabled and pre-warmed: repeats are served from the
-//           response cache (with the BMT segment sub-cache underneath).
+//   warm  — response cache enabled and pre-warmed: repeats are served
+//           from it.
 //
 // A third regime exercises the C10k serving path end to end: a forked
 // client process opens 1k / 10k real loopback connections against a
@@ -96,7 +96,7 @@ CellResult run_cell(const FullNode& full, const std::vector<Address>& addrs,
     requests.push_back(encode_envelope(MsgType::kQueryRequest,
                                        ByteSpan{w.data().data(), w.data().size()}));
   }
-  if (warm) {  // one pass fills response + segment caches
+  if (warm) {  // one pass fills the response cache
     for (const Bytes& r : requests) {
       engine.handle(ByteSpan{r.data(), r.size()});
     }

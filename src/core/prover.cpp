@@ -341,6 +341,12 @@ BlockProof build_block_proof(const ChainContext& ctx, std::uint64_t height,
   return proof;
 }
 
+namespace {
+
+/// Merged proof for ONE query-forest range (BMT designs): the BmtNodeProof
+/// rooted at the range plus per-block proofs for its failed leaves, in
+/// ascending height order. A full query response is exactly these proofs
+/// concatenated over query_forest(tip, M).
 SegmentQueryProof build_segment_proof(const ChainContext& ctx,
                                       const Address& address,
                                       const std::vector<std::uint64_t>& cbp,
@@ -362,6 +368,8 @@ SegmentQueryProof build_segment_proof(const ChainContext& ctx,
   collect_failed_blocks(seg, ctx, bmt, masks, root_level, root_j, address);
   return seg;
 }
+
+}  // namespace
 
 QueryResponse build_query_response(const ChainContext& ctx,
                                    const Address& address, ThreadPool* pool) {

@@ -23,18 +23,6 @@ QueryResponse build_query_response(const ChainContext& ctx,
                                    const Address& address,
                                    ThreadPool* pool = nullptr);
 
-/// Merged proof for ONE query-forest range (BMT designs): the BmtNodeProof
-/// rooted at the range plus per-block proofs for its failed leaves, in
-/// ascending height order. `cbp` is the address's checked bit positions
-/// under the context's Bloom geometry. A full query response is exactly
-/// these proofs concatenated over query_forest(tip, M) — exposed so the
-/// serving engine's segment cache can build and reuse individual segments
-/// (a range that ended before the tip never changes as the chain grows).
-SegmentQueryProof build_segment_proof(const ChainContext& ctx,
-                                      const Address& address,
-                                      const std::vector<std::uint64_t>& cbp,
-                                      const SubSegment& range);
-
 /// The per-block proof a design produces when the block's BF check failed
 /// (exposed separately for tests and the malicious-node harness).
 BlockProof build_block_proof(const ChainContext& ctx, std::uint64_t height,
@@ -52,10 +40,11 @@ void serialize_query_response(Writer& w, const ChainContext& ctx,
                               const Address& address,
                               ThreadPool* pool = nullptr);
 
-/// Direct-serialization form of build_segment_proof: writes the
-/// SegmentQueryProof wire bytes for one query-forest range into `w`. The
-/// serving engine's segment-cache fill path uses this to avoid
-/// materializing proof objects per miss.
+/// Writes the SegmentQueryProof wire bytes for one query-forest range
+/// (BMT designs; `cbp` is the address's checked bit positions under the
+/// context's Bloom geometry) into `w` without materializing proof
+/// objects. serialize_query_response and serialize_range_response stream
+/// whole segments through it.
 void serialize_segment_proof(Writer& w, const ChainContext& ctx,
                              const Address& address,
                              const std::vector<std::uint64_t>& cbp,

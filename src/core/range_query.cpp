@@ -268,6 +268,58 @@ RangeQueryResponse build_range_response(const ChainContext& ctx,
   return resp;
 }
 
+void serialize_range_response(Writer& w, const ChainContext& ctx,
+                              const Address& address, std::uint64_t from,
+                              std::uint64_t to) {
+  const ProtocolConfig& config = ctx.config();
+  if (!config.has_bmt()) {
+    // Dense designs: the bytes are per-height BFs and fragments, which the
+    // structured path already streams.
+    build_range_response(ctx, address, from, to).serialize(w);
+    return;
+  }
+  const std::uint64_t tip = ctx.tip_height();
+  LVQ_CHECK(from >= 1 && from <= to && to <= tip);
+
+  const std::vector<std::uint64_t> cbp =
+      config.bloom.positions(BloomKey::from_bytes(address.span()));
+  const std::vector<RangePiece> cover =
+      range_cover(from, to, tip, config.segment_length);
+  const std::vector<SubSegment> forest =
+      query_forest(tip, config.segment_length);
+
+  // A piece spanning a whole query-forest segment has an empty anchor path
+  // and serializes byte-identically to that segment's SegmentQueryProof,
+  // so it streams through the indexed segment serializer; size those up
+  // front so the reply buffer grows once.
+  std::vector<bool> whole(cover.size(), false);
+  std::uint64_t reserve = 0;
+  for (std::size_t i = 0; i < cover.size(); ++i) {
+    const SubSegment range{cover[i].first_height(), cover[i].last_height()};
+    if (cover[i].path_length() != 0 ||
+        !std::binary_search(forest.begin(), forest.end(), range)) {
+      continue;
+    }
+    whole[i] = true;
+    reserve += segment_proof_wire_size(ctx, address, cbp, range);
+  }
+  w.reserve(static_cast<std::size_t>(reserve));
+
+  w.u8(static_cast<std::uint8_t>(config.design));
+  w.varint(tip);
+  w.varint(from);
+  w.varint(to);
+  for (std::size_t i = 0; i < cover.size(); ++i) {
+    if (whole[i]) {
+      serialize_segment_proof(
+          w, ctx, address, cbp,
+          SubSegment{cover[i].first_height(), cover[i].last_height()});
+    } else {
+      build_anchored_piece(ctx, address, cbp, cover[i]).serialize(w);
+    }
+  }
+}
+
 VerifyOutcome verify_range_response(const std::vector<BlockHeader>& headers,
                                     const ProtocolConfig& config,
                                     const Address& address,

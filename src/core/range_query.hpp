@@ -104,12 +104,21 @@ RangeQueryResponse build_range_response(const ChainContext& ctx,
                                         const Address& address,
                                         std::uint64_t from, std::uint64_t to);
 
+/// Writes build_range_response(ctx, address, from, to)'s exact wire bytes
+/// into `w`. BMT designs stream every cover piece that is a whole
+/// query-forest segment through the indexed serialize_segment_proof and
+/// build the remaining anchored pieces via build_anchored_piece; dense
+/// designs delegate to the structured path. Same preconditions as
+/// build_range_response.
+void serialize_range_response(Writer& w, const ChainContext& ctx,
+                              const Address& address, std::uint64_t from,
+                              std::uint64_t to);
+
 /// Builds one cover piece's anchored proof (BMT designs only; `cbp` is the
 /// address's bloom check positions). build_range_response composes these
-/// in cover order; the serving engine's range fast path calls it directly
-/// for pieces it cannot splice from the segment cache. A piece whose range
-/// is a whole query-forest segment has an empty anchor path and serializes
-/// byte-identically to that segment's SegmentQueryProof.
+/// in cover order. A piece whose range is a whole query-forest segment has
+/// an empty anchor path and serializes byte-identically to that segment's
+/// SegmentQueryProof.
 AnchoredTreeProof build_anchored_piece(const ChainContext& ctx,
                                        const Address& address,
                                        const std::vector<std::uint64_t>& cbp,

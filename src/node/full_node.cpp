@@ -52,10 +52,10 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
     switch (type) {
       case MsgType::kHeadersRequest: {
         Writer w;
+        w.u8(static_cast<std::uint8_t>(MsgType::kHeaders));
         w.varint(tip);
         for (const auto& b : ctx.chain().blocks()) b->header.serialize(w);
-        return encode_envelope(MsgType::kHeaders,
-                               ByteSpan{w.data().data(), w.data().size()});
+        return w.take();
       }
       case MsgType::kHeadersSinceRequest: {
         Reader r(payload);
@@ -63,12 +63,12 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
         r.expect_done();
         std::uint64_t first = std::min(from + 1, tip + 1);
         Writer w;
+        w.u8(static_cast<std::uint8_t>(MsgType::kHeaders));
         w.varint(tip - (first - 1));
         for (std::uint64_t h = first; h <= tip; ++h) {
           ctx.chain().at_height(h).header.serialize(w);
         }
-        return encode_envelope(MsgType::kHeaders,
-                               ByteSpan{w.data().data(), w.data().size()});
+        return w.take();
       }
       case MsgType::kQueryRequest: {
         Reader r(payload);
@@ -77,8 +77,8 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
         // RPC callers (serving-engine workers, TCP handlers) are never
         // shared-pool tasks, so fanning the proof assembly across the
         // shared pool is safe; bytes are unchanged (index-addressed slots).
-        // The envelope type byte is written inline so the proof streams
-        // into its final buffer — no QueryResponse object, no re-copy.
+        // Every case writes the envelope type byte inline so the reply is
+        // built in its final buffer — no re-copy by encode_envelope.
         Writer w;
         w.u8(static_cast<std::uint8_t>(MsgType::kQueryResponse));
         serialize_query_response(w, ctx, req.address, &ThreadPool::shared());
@@ -89,12 +89,10 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
         RangeQueryRequest req = RangeQueryRequest::deserialize(r);
         r.expect_done();
         if (req.to > tip) break;  // error reply
-        RangeQueryResponse resp =
-            build_range_response(ctx, req.address, req.from, req.to);
         Writer w;
-        resp.serialize(w);
-        return encode_envelope(MsgType::kRangeQueryResponse,
-                               ByteSpan{w.data().data(), w.data().size()});
+        w.u8(static_cast<std::uint8_t>(MsgType::kRangeQueryResponse));
+        serialize_range_response(w, ctx, req.address, req.from, req.to);
+        return w.take();
       }
       case MsgType::kMultiQueryRequest: {
         Reader r(payload);
@@ -107,9 +105,9 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
         }
         r.expect_done();
         Writer w;
+        w.u8(static_cast<std::uint8_t>(MsgType::kMultiQueryResponse));
         build_multi_response(ctx, addresses).serialize(w);
-        return encode_envelope(MsgType::kMultiQueryResponse,
-                               ByteSpan{w.data().data(), w.data().size()});
+        return w.take();
       }
       case MsgType::kBatchQueryRequest: {
         Reader r(payload);
@@ -121,12 +119,24 @@ Bytes FullNode::dispatch(const ChainContext& ctx, ByteSpan request) const {
           addresses.push_back(Address::deserialize(r));
         }
         r.expect_done();
+        // One independent proof assembly per address, fanned across the
+        // shared pool into index-addressed slots (bytes identical to the
+        // serial loop). Each runs without an inner pool: the pool forbids
+        // nesting.
+        std::vector<Bytes> parts(addresses.size());
+        ThreadPool::shared().parallel_for(
+            addresses.size(), [&](std::uint64_t i) {
+              Writer pw;
+              serialize_query_response(pw, ctx, addresses[i]);
+              parts[i] = pw.take();
+            });
+        std::size_t total = 0;
+        for (const Bytes& p : parts) total += p.size();
         Writer w;
+        w.reserve(1 + varint_size(addresses.size()) + total);
         w.u8(static_cast<std::uint8_t>(MsgType::kBatchQueryResponse));
         w.varint(addresses.size());
-        for (const Address& addr : addresses) {
-          serialize_query_response(w, ctx, addr);
-        }
+        for (const Bytes& p : parts) w.raw(p);
         return w.take();
       }
       default:

@@ -263,17 +263,8 @@ std::string MetricsSnapshot::to_text() const {
                                  static_cast<double>(lookups),
               cache_entries, cache_bytes, cache_evictions);
   append_line(out, "admission: %" PRIu64 " admitted, %" PRIu64
-                   " bypassed (assembly under threshold)",
+                   " bypassed (under threshold or over a shard)",
               cache_admitted, cache_bypassed);
-  const std::uint64_t seg_lookups = segment_hits + segment_misses;
-  append_line(out, "segments : %" PRIu64 " hits / %" PRIu64
-                   " misses (%.1f%%), %" PRIu64 " entries, %" PRIu64
-                   " bytes, %" PRIu64 " evictions",
-              segment_hits, segment_misses,
-              seg_lookups == 0 ? 0.0
-                               : 100.0 * static_cast<double>(segment_hits) /
-                                     static_cast<double>(seg_lookups),
-              segment_entries, segment_bytes, segment_evictions);
   append_line(out, "pool     : %" PRIu64 " workers, %" PRIu64
                    " in flight, queue %" PRIu64 "/%" PRIu64,
               workers, in_flight, queue_depth, queue_capacity);

@@ -66,7 +66,7 @@ struct MetricsSnapshot {
   // Resilience counters (snapshot v2, PROTOCOL.md §7).
   std::uint64_t rejected_degraded = 0;  // bulk requests shed early under load
   std::uint64_t expired_in_queue = 0;   // dropped: deadline passed while queued
-  std::uint64_t deadline_aborted = 0;   // dropped: deadline hit mid-assembly
+  std::uint64_t deadline_aborted = 0;   // dropped: reply finished past deadline
   std::uint64_t drain_completed = 0;    // requests finished during drain grace
   std::uint64_t slow_loris_closed = 0;  // connections closed mid-frame timeout
 
@@ -84,7 +84,8 @@ struct MetricsSnapshot {
   std::uint64_t cache_bytes = 0;
   std::uint64_t cache_evictions = 0;
 
-  // BMT segment sub-cache (hot merged segment proofs).
+  // Reserved: the removed BMT segment sub-cache's counters. They stay on
+  // the wire (PROTOCOL.md §6) and are always 0.
   std::uint64_t segment_hits = 0;
   std::uint64_t segment_misses = 0;
   std::uint64_t segment_entries = 0;
@@ -109,8 +110,9 @@ struct MetricsSnapshot {
   std::array<ClassLatency, kRequestClassCount> class_latency{};
 
   // Cost-aware cache admission (snapshot v4): served cacheable responses
-  // stored into the response cache vs. skipped because their measured
-  // assembly time was under the engine's cache_admit_min_us threshold.
+  // stored into the response cache vs. not stored — their measured
+  // assembly time was under the engine's cache_admit_min_us threshold, or
+  // the reply was too large for a cache shard.
   std::uint64_t cache_admitted = 0;
   std::uint64_t cache_bypassed = 0;
 
@@ -183,8 +185,8 @@ class ServerMetrics final : public TcpServerEvents {
     expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// An in-progress cold assembly abandoned because its deadline expired
-  /// between stages (kExpired reply).
+  /// A reply that finished after its deadline, answered kExpired instead
+  /// and not cached.
   void on_deadline_aborted(std::uint64_t reply_bytes) {
     bytes_out_.fetch_add(reply_bytes, std::memory_order_relaxed);
     deadline_aborted_.fetch_add(1, std::memory_order_relaxed);
@@ -207,14 +209,15 @@ class ServerMetrics final : public TcpServerEvents {
     backpressure_shed_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// A served cacheable response admitted to the response cache (its
-  /// assembly time cleared the admission threshold).
+  /// A served cacheable response stored in the response cache (its
+  /// assembly time cleared the admission threshold and it fit a shard).
   void on_cache_admitted() {
     cache_admitted_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// A served cacheable response NOT cached: assembly was cheaper than the
-  /// admission threshold, so caching it would only pollute the budget.
+  /// admission threshold, so caching it would only pollute the budget, or
+  /// the reply was larger than a cache shard.
   void on_cache_bypassed() {
     cache_bypassed_.fetch_add(1, std::memory_order_relaxed);
   }

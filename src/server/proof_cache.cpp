@@ -92,10 +92,10 @@ bool ShardedByteCache::get(ByteSpan key, Bytes* out) {
   return false;
 }
 
-void ShardedByteCache::put(ByteSpan key, ByteSpan value) {
-  if (!enabled()) return;
+bool ShardedByteCache::put(ByteSpan key, ByteSpan value) {
+  if (!enabled()) return false;
   const std::uint64_t cost = entry_cost(key.size(), value.size());
-  if (cost > shard_capacity_) return;  // would evict the whole shard
+  if (cost > shard_capacity_) return false;  // would evict the whole shard
   const std::uint64_t h = fnv1a(key);
   Shard& shard = shard_for(h);
   std::lock_guard<std::mutex> lock(shard.write_mu);
@@ -129,6 +129,7 @@ void ShardedByteCache::put(ByteSpan key, ByteSpan value) {
   shard.entries += 1;
   if (!replaced) shard.insertions += 1;
   if (shard.bytes > shard_capacity_) evict_to_fit_locked(shard, fresh);
+  return true;
 }
 
 void ShardedByteCache::unlink_locked(Shard& shard, std::size_t bucket,

@@ -1,9 +1,8 @@
 // Sharded byte cache with a lock-free read path, for proof serving.
 //
 // Proofs are immutable for a fixed (address, tip, config): the serving
-// engine exploits that with two instances of this cache — whole encoded
-// responses keyed by (epoch, request bytes), and merged BMT segment proofs
-// keyed by (address, range, last-header hash). The warm path is the whole
+// engine exploits that by caching whole encoded responses keyed by
+// (epoch, request bytes). The warm path is the whole
 // point of the cache, so readers take zero locks on a hit: an epoch guard
 // (util/epoch.hpp) pins the reclamation epoch, bucket heads are atomic
 // pointers into chains of heap nodes whose key/value bytes never change
@@ -22,7 +21,7 @@
 //
 // Values are opaque byte strings. Capacity is a byte budget (keys + values
 // + a fixed per-entry overhead), split evenly across shards. A capacity of
-// 0 disables the cache: get() always misses and put() is a no-op, so
+// 0 disables the cache: get() always misses and put() stores nothing, so
 // callers need no special casing.
 #pragma once
 
@@ -72,9 +71,10 @@ class ShardedByteCache {
   /// Inserts or replaces key -> value under the shard's write mutex, then
   /// runs the batched CLOCK sweep if the shard is over budget. A replace
   /// publishes a whole new node, so readers switch atomically between old
-  /// and new bytes. Values too large for one shard's entire budget are not
-  /// stored.
-  void put(ByteSpan key, ByteSpan value);
+  /// and new bytes. Returns whether the entry was stored: false when the
+  /// cache is disabled or the entry is too large for one shard's entire
+  /// budget.
+  bool put(ByteSpan key, ByteSpan value);
 
   /// Drops every entry (epoch invalidation). Counters survive. Readers
   /// concurrently probing keep whatever node they already reached until

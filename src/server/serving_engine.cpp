@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#include "core/prover.hpp"
-#include "core/range_query.hpp"
-#include "core/segments.hpp"
-#include "util/thread_pool.hpp"
-
 namespace lvq {
 
 namespace {
@@ -31,9 +26,7 @@ bool past(netio::Deadline deadline) {
 ServingEngine::ServingEngine(const FullNode& node, ServingEngineOptions options)
     : node_(&node),
       options_(options),
-      response_cache_(options.cache_bytes - options.cache_bytes / 4,
-                      options.cache_shards),
-      segment_cache_(options.cache_bytes / 4, options.cache_shards) {
+      response_cache_(options.cache_bytes, options.cache_shards) {
   backend_ = [this](ByteSpan req) { return node_->handle_message(req); };
   epoch_tip_.store(node.tip_height(), std::memory_order_relaxed);
   start_workers();
@@ -43,9 +36,7 @@ ServingEngine::ServingEngine(Handler backend, ServingEngineOptions options)
     : backend_(std::move(backend)),
       node_(nullptr),
       options_(options),
-      response_cache_(options.cache_bytes - options.cache_bytes / 4,
-                      options.cache_shards),
-      segment_cache_(0, 1) {
+      response_cache_(options.cache_bytes, options.cache_shards) {
   start_workers();
 }
 
@@ -273,342 +264,37 @@ Bytes ServingEngine::process(ByteSpan request, netio::Deadline deadline) {
   const std::uint8_t type = request.empty() ? 0 : request[0];
   const auto t0 = std::chrono::steady_clock::now();
 
-  Bytes reply;
-  bool served_fast = false;
-  // The fast paths no longer require the caches: with them disabled they
-  // are pure parallel per-segment assemblies (every segment a "miss").
-  if (node_ != nullptr && node_->config().has_bmt()) {
-    std::optional<Bytes> fast;
-    switch (static_cast<MsgType>(type)) {
-      case MsgType::kQueryRequest:
-        fast = fast_query(request, deadline);
-        break;
-      case MsgType::kBatchQueryRequest:
-        fast = fast_batch(request, deadline);
-        break;
-      case MsgType::kRangeQueryRequest:
-        fast = fast_range(request, deadline);
-        break;
-      default:
-        break;
-    }
-    if (fast) {
-      reply = std::move(*fast);
-      served_fast = true;
-    }
-  }
-  if (!served_fast) reply = backend_(request);
+  Bytes reply = backend_(request);
 
-  // Cost-aware admission, decided in one place for fast and backend paths
-  // alike: a reply is cached only when rebuilding it cost at least
-  // cache_admit_min_us — cheaper replies would spend cache budget (and
-  // evict amortizing entries) to save less than a cache probe costs.
+  // The client's budget ran out while the reply was being built: it could
+  // only arrive dead. Answer kExpired and keep the bytes out of the cache.
+  if (past(deadline)) {
+    Bytes expired = expired_reply();
+    metrics_.on_deadline_aborted(expired.size());
+    return expired;
+  }
+
+  // Cost-aware admission: a reply is cached only when rebuilding it cost
+  // at least cache_admit_min_us — cheaper replies would spend cache budget
+  // (and evict amortizing entries) to save less than a cache probe costs.
+  // A reply the cache refuses (larger than a shard) counts as bypassed.
   if (response_cache_.enabled() && cacheable_request(type) && !reply.empty() &&
       reply[0] != static_cast<std::uint8_t>(MsgType::kError) &&
       reply[0] != static_cast<std::uint8_t>(MsgType::kBusy) &&
       reply[0] != static_cast<std::uint8_t>(MsgType::kExpired)) {
+    bool stored = false;
     if (micros_since(t0) >= options_.cache_admit_min_us) {
       Bytes key = response_cache_key(request);
-      response_cache_.put(ByteSpan{key.data(), key.size()},
-                          ByteSpan{reply.data(), reply.size()});
+      stored = response_cache_.put(ByteSpan{key.data(), key.size()},
+                                   ByteSpan{reply.data(), reply.size()});
+    }
+    if (stored) {
       metrics_.on_cache_admitted();
     } else {
       metrics_.on_cache_bypassed();
     }
   }
   return reply;
-}
-
-std::optional<Bytes> ServingEngine::fast_query(ByteSpan request,
-                                               netio::Deadline deadline) {
-  Address address;
-  try {
-    Reader r(request.subspan(1));
-    address = QueryRequest::deserialize(r).address;
-    r.expect_done();
-  } catch (const SerializeError&) {
-    return std::nullopt;  // let the backend produce the kError reply
-  }
-  // One context snapshot for the whole proof assembly (snapshot rule in
-  // full_node.hpp): a concurrent append_blocks must not move the tip
-  // between the forest computation and the per-segment proofs.
-  const std::shared_ptr<const ChainContext> snapshot = node_->context();
-  const ChainContext& ctx = *snapshot;
-  const ProtocolConfig& config = ctx.config();
-  const std::uint64_t tip = ctx.tip_height();
-  if (tip == 0) return std::nullopt;
-
-  BloomKey bloom_key = BloomKey::from_bytes(address.span());
-  std::vector<std::uint64_t> cbp = config.bloom.positions(bloom_key);
-
-  // Byte-identical reassembly of FullNode's kQueryResponse: the response
-  // serialization is a flat concatenation of segment proofs after a fixed
-  // prefix, so cached segment bytes splice in directly.
-  std::vector<SubSegment> forest = query_forest(tip, config.segment_length);
-  const bool seg_cache = segment_cache_.enabled();
-  const bool fan_out = options_.parallel_assembly && forest.size() > 1 &&
-                       ThreadPool::shared().size() > 1;
-
-  if (!seg_cache && !fan_out) {
-    // No cache to fill and no fan-out to stage: stream every segment
-    // straight into the reply buffer — per-segment staging buffers and the
-    // final splice only pay for themselves when something reuses the
-    // per-segment bytes.
-    std::uint64_t total = 0;
-    for (const SubSegment& range : forest) {
-      total += segment_proof_wire_size(ctx, address, cbp, range);
-    }
-    Writer w;
-    w.reserve(static_cast<std::size_t>(2 + varint_size(tip) +
-                                       varint_size(forest.size()) + total));
-    w.u8(static_cast<std::uint8_t>(MsgType::kQueryResponse));
-    w.u8(static_cast<std::uint8_t>(config.design));
-    w.varint(tip);
-    w.varint(forest.size());
-    for (const SubSegment& range : forest) {
-      // Between-segment deadline check: a budget that died mid-assembly
-      // stops burning CPU on proof bytes nobody will read.
-      if (past(deadline)) {
-        Bytes expired = expired_reply();
-        metrics_.on_deadline_aborted(expired.size());
-        return expired;
-      }
-      serialize_segment_proof(w, ctx, address, cbp, range);
-    }
-    return w.take();
-  }
-
-  std::vector<SegUnit> units;
-  units.reserve(forest.size());
-  for (const SubSegment& range : forest) {
-    units.push_back(SegUnit{&address, &cbp, range});
-  }
-  std::vector<Bytes> seg_bytes;
-  if (!assemble_segment_units(ctx, units, deadline, &seg_bytes)) {
-    Bytes expired = expired_reply();
-    metrics_.on_deadline_aborted(expired.size());
-    return expired;
-  }
-
-  // Envelope type byte written inline: the reply is assembled once, sized
-  // up front, instead of built and then copied by encode_envelope.
-  std::size_t total = 0;
-  for (const Bytes& s : seg_bytes) total += s.size();
-  Writer w;
-  w.reserve(2 + varint_size(tip) + varint_size(forest.size()) + total);
-  w.u8(static_cast<std::uint8_t>(MsgType::kQueryResponse));
-  w.u8(static_cast<std::uint8_t>(config.design));
-  w.varint(tip);
-  w.varint(forest.size());
-  for (const Bytes& s : seg_bytes) w.raw(ByteSpan{s.data(), s.size()});
-  return w.take();
-}
-
-bool ServingEngine::assemble_segment_units(const ChainContext& ctx,
-                                           const std::vector<SegUnit>& units,
-                                           netio::Deadline deadline,
-                                           std::vector<Bytes>* out) {
-  out->assign(units.size(), Bytes{});
-  const bool seg_cache = segment_cache_.enabled();
-  std::vector<Bytes> keys(units.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const SegUnit& u = units[i];
-    // Shape-normalized key: address + range + last-header hash, nothing
-    // about which query type wants the bytes — a point query's fill is a
-    // batch entry's (or a whole-segment range piece's) hit. The hash
-    // commits to every block in the range and the whole prefix chain, so
-    // a reorged chain can never hit a stale entry while an appended chain
-    // keeps hitting the segments it kept.
-    Writer kw;
-    kw.u8('S');
-    kw.raw(u.address->span());
-    kw.varint(u.range.first);
-    kw.varint(u.range.last);
-    kw.raw(ctx.chain().at_height(u.range.last).header.hash().bytes);
-    keys[i] = kw.take();
-    if (!seg_cache ||
-        !segment_cache_.get(ByteSpan{keys[i].data(), keys[i].size()},
-                            &(*out)[i])) {
-      misses.push_back(i);
-    }
-  }
-
-  // Cold misses are independent proof assemblies over one immutable
-  // snapshot; fan them across the shared pool into index-addressed slots.
-  // Engine workers are plain threads (never pool tasks), so the fan-out
-  // honors the pool's no-nesting rule. The abort flag lets a mid-assembly
-  // deadline expiry stop the remaining stages (already-running segments
-  // finish; none start after the flag is set).
-  std::atomic<bool> aborted{false};
-  auto assemble = [&](std::uint64_t m) {
-    if (aborted.load(std::memory_order_relaxed)) return;
-    if (past(deadline)) {
-      aborted.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const std::size_t i = misses[m];
-    const SegUnit& u = units[i];
-    Writer sw;
-    sw.reserve(static_cast<std::size_t>(
-        segment_proof_wire_size(ctx, *u.address, *u.cbp, u.range)));
-    serialize_segment_proof(sw, ctx, *u.address, *u.cbp, u.range);
-    (*out)[i] = sw.take();
-  };
-  if (options_.parallel_assembly && misses.size() > 1) {
-    ThreadPool::shared().parallel_for(misses.size(), assemble);
-  } else {
-    for (std::uint64_t m = 0; m < misses.size(); ++m) assemble(m);
-  }
-  if (aborted.load(std::memory_order_relaxed)) {
-    // Partially assembled segments are discarded uncached: a cache must
-    // only ever hold complete, correct proof bytes.
-    return false;
-  }
-  if (seg_cache) {
-    for (std::size_t i : misses) {
-      segment_cache_.put(ByteSpan{keys[i].data(), keys[i].size()},
-                         ByteSpan{(*out)[i].data(), (*out)[i].size()});
-    }
-  }
-  return true;
-}
-
-std::optional<Bytes> ServingEngine::fast_batch(ByteSpan request,
-                                               netio::Deadline deadline) {
-  std::vector<Address> addresses;
-  try {
-    Reader r(request.subspan(1));
-    const std::uint64_t n = r.varint();
-    if (n > 1000) return std::nullopt;  // backend produces the kError reply
-    addresses.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      addresses.push_back(Address::deserialize(r));
-    }
-    r.expect_done();
-  } catch (const SerializeError&) {
-    return std::nullopt;
-  }
-
-  const std::shared_ptr<const ChainContext> snapshot = node_->context();
-  const ChainContext& ctx = *snapshot;
-  const ProtocolConfig& config = ctx.config();
-  const std::uint64_t tip = ctx.tip_height();
-  if (tip == 0) return std::nullopt;
-
-  const std::vector<SubSegment> forest =
-      query_forest(tip, config.segment_length);
-  std::vector<std::vector<std::uint64_t>> cbps;
-  cbps.reserve(addresses.size());
-  for (const Address& a : addresses) {
-    cbps.push_back(config.bloom.positions(BloomKey::from_bytes(a.span())));
-  }
-  std::vector<SegUnit> units;
-  units.reserve(addresses.size() * forest.size());
-  for (std::size_t a = 0; a < addresses.size(); ++a) {
-    for (const SubSegment& range : forest) {
-      units.push_back(SegUnit{&addresses[a], &cbps[a], range});
-    }
-  }
-  std::vector<Bytes> seg_bytes;
-  if (!assemble_segment_units(ctx, units, deadline, &seg_bytes)) {
-    Bytes expired = expired_reply();
-    metrics_.on_deadline_aborted(expired.size());
-    return expired;
-  }
-
-  // Byte-identical reassembly of FullNode's kBatchQueryResponse: the body
-  // is varint(n) then each address's kQuery body (design, tip, forest
-  // count, concatenated segment proofs) back to back.
-  std::size_t total = 0;
-  for (const Bytes& s : seg_bytes) total += s.size();
-  Writer w;
-  w.reserve(1 + varint_size(addresses.size()) +
-            addresses.size() *
-                (1 + varint_size(tip) + varint_size(forest.size())) +
-            total);
-  w.u8(static_cast<std::uint8_t>(MsgType::kBatchQueryResponse));
-  w.varint(addresses.size());
-  std::size_t unit = 0;
-  for (std::size_t a = 0; a < addresses.size(); ++a) {
-    w.u8(static_cast<std::uint8_t>(config.design));
-    w.varint(tip);
-    w.varint(forest.size());
-    for (std::size_t s = 0; s < forest.size(); ++s, ++unit) {
-      w.raw(ByteSpan{seg_bytes[unit].data(), seg_bytes[unit].size()});
-    }
-  }
-  return w.take();
-}
-
-std::optional<Bytes> ServingEngine::fast_range(ByteSpan request,
-                                               netio::Deadline deadline) {
-  RangeQueryRequest req;
-  try {
-    Reader r(request.subspan(1));
-    req = RangeQueryRequest::deserialize(r);
-    r.expect_done();
-  } catch (const SerializeError&) {
-    return std::nullopt;
-  }
-
-  const std::shared_ptr<const ChainContext> snapshot = node_->context();
-  const ChainContext& ctx = *snapshot;
-  const ProtocolConfig& config = ctx.config();
-  const std::uint64_t tip = ctx.tip_height();
-  // An out-of-range request is answered kError by the backend, exactly as
-  // FullNode's own dispatch does.
-  if (tip == 0 || req.to > tip) return std::nullopt;
-
-  const std::vector<std::uint64_t> cbp =
-      config.bloom.positions(BloomKey::from_bytes(req.address.span()));
-  const std::vector<RangePiece> cover =
-      range_cover(req.from, req.to, tip, config.segment_length);
-
-  // Pieces that are whole query-forest segments (empty anchor path over
-  // exactly a forest range) serialize byte-identically to the
-  // SegmentQueryProof bytes the point/batch paths cache, so they splice
-  // from the same shape-normalized entries. Anything else — a sub-piece
-  // anchored below its segment root — is built directly.
-  const std::vector<SubSegment> forest =
-      query_forest(tip, config.segment_length);
-  std::vector<SegUnit> units;
-  std::vector<std::ptrdiff_t> unit_of(cover.size(), -1);
-  for (std::size_t i = 0; i < cover.size(); ++i) {
-    const RangePiece& piece = cover[i];
-    if (piece.path_length() != 0) continue;
-    const SubSegment range{piece.first_height(), piece.last_height()};
-    if (!std::binary_search(forest.begin(), forest.end(), range)) continue;
-    unit_of[i] = static_cast<std::ptrdiff_t>(units.size());
-    units.push_back(SegUnit{&req.address, &cbp, range});
-  }
-  std::vector<Bytes> seg_bytes;
-  if (!assemble_segment_units(ctx, units, deadline, &seg_bytes)) {
-    Bytes expired = expired_reply();
-    metrics_.on_deadline_aborted(expired.size());
-    return expired;
-  }
-
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kRangeQueryResponse));
-  w.u8(static_cast<std::uint8_t>(config.design));
-  w.varint(tip);
-  w.varint(req.from);
-  w.varint(req.to);
-  for (std::size_t i = 0; i < cover.size(); ++i) {
-    if (unit_of[i] >= 0) {
-      const Bytes& s = seg_bytes[static_cast<std::size_t>(unit_of[i])];
-      w.raw(ByteSpan{s.data(), s.size()});
-      continue;
-    }
-    if (past(deadline)) {
-      Bytes expired = expired_reply();
-      metrics_.on_deadline_aborted(expired.size());
-      return expired;
-    }
-    build_anchored_piece(ctx, req.address, cbp, cover[i]).serialize(w);
-  }
-  return w.take();
 }
 
 void ServingEngine::rebind(const FullNode& node) {
@@ -655,12 +341,6 @@ MetricsSnapshot ServingEngine::snapshot() const {
   s.cache_entries = rc.entries;
   s.cache_bytes = rc.bytes;
   s.cache_evictions = rc.evictions;
-  const ShardedByteCache::Stats sc = segment_cache_.stats();
-  s.segment_hits = sc.hits;
-  s.segment_misses = sc.misses;
-  s.segment_entries = sc.entries;
-  s.segment_bytes = sc.bytes;
-  s.segment_evictions = sc.evictions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.queue_depth = queue_.size();

@@ -1,7 +1,10 @@
 // Query-serving engine: the layer between a ReactorServer (or any
 // transport front end) and a FullNode.
 //
-// Three concerns, each missing from the bare thread-per-connection server:
+// The engine owns queueing, shedding, deadlines, one response cache and
+// metrics; the backend — FullNode::handle_message in node mode — owns
+// every proof byte. Three concerns, each missing from the bare
+// thread-per-connection server:
 //
 //  * Bounded concurrency — a fixed-size worker pool executes requests; a
 //    bounded queue absorbs bursts; past that the engine sheds load with a
@@ -11,26 +14,19 @@
 //
 //  * Proof reuse — proofs are immutable for a fixed (address, tip,
 //    config), so the engine keeps a sharded lock-free-read cache of whole
-//    encoded replies keyed by (epoch, request bytes), plus a sub-cache of
-//    merged BMT segment proofs keyed by (address, range, last-header
-//    hash). The segment keys commit to chain content through the header
-//    hash, so a reorg can never resurface a stale proof, and segments that
-//    ended before the tip stay valid as the chain grows — the LVQ forest
-//    structure is exactly what makes that reuse legal. The segment keys
-//    are query-shape-normalized: one cached segment proof serves point
-//    queries, batch entries, and whole-segment range pieces that overlap
-//    it (INTERNALS.md §12). Response-cache admission is cost-aware — only
-//    responses whose measured assembly time cleared
+//    encoded replies keyed by (epoch, request bytes). Admission is
+//    cost-aware — only replies whose measured assembly time cleared
 //    `cache_admit_min_us` are stored, so sub-threshold indexed cold
-//    builds do not evict entries that actually amortize work.
+//    builds do not evict entries that actually amortize work — and a
+//    reply too large for a cache shard is counted as bypassed, not
+//    admitted.
 //
 //  * Observability — every request feeds a ServerMetrics registry
 //    (counters + latency histogram) served inline via the kStats RPC and
 //    `lvqtool stats`.
 //
-// Cached and freshly built replies are byte-identical by construction
-// (responses are deterministic and the fast path serializes through the
-// same code paths); tests assert it.
+// Cached and freshly built replies are byte-identical by construction: a
+// cache entry is a stored copy of a backend reply.
 #pragma once
 
 #include <atomic>
@@ -42,12 +38,10 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
 
-#include "core/segments.hpp"
 #include "net/frame.hpp"
 #include "net/message.hpp"
 #include "node/full_node.hpp"
@@ -63,16 +57,11 @@ struct ServingEngineOptions {
   /// arriving with the queue full and no idle worker is shed with kBusy.
   /// 0 means "no waiting": at most `workers` requests in flight.
   std::uint32_t queue_depth = 64;
-  /// Total cache budget in bytes; 0 disables both caches. A quarter goes
-  /// to the BMT segment sub-cache, the rest to whole encoded responses.
+  /// Response-cache budget in bytes; 0 disables the cache.
   std::uint64_t cache_bytes = 64ull << 20;
-  /// Lock shards per cache.
+  /// Lock shards of the response cache. A reply larger than one shard's
+  /// share of `cache_bytes` is never stored.
   std::uint32_t cache_shards = 8;
-  /// Fan the independent per-segment proof assemblies of one cold query
-  /// across the process-wide ThreadPool (engine workers are plain threads,
-  /// never pool tasks, so the fan-out is legal). Results land in
-  /// index-addressed slots — bytes are identical to the serial loop.
-  bool parallel_assembly = true;
   /// Priority-aware degradation: once no worker is idle and the queue is
   /// at least this fraction full, bulk requests (batch/range/multi/full
   /// header sync) are shed with kBusy while interactive traffic (single
@@ -86,8 +75,7 @@ struct ServingEngineOptions {
   /// many microseconds. The default keeps sub-millisecond indexed cold
   /// builds out of the cache — recomputing them costs less than the
   /// eviction pressure they exert — while anything slow enough to matter
-  /// is admitted. 0 admits everything; the segment sub-cache always
-  /// admits (it is the amortization substrate the fast paths splice from).
+  /// is admitted. 0 admits everything that fits a shard.
   std::uint64_t cache_admit_min_us = 1000;
 };
 
@@ -105,12 +93,12 @@ class ServingEngine {
   using CompletionFn = std::function<void(Bytes reply)>;
 
   /// Serves `node` (non-owning; must outlive the engine or be swapped out
-  /// via rebind before destruction). Enables the BMT segment fast path.
+  /// via rebind before destruction) through FullNode::handle_message.
   explicit ServingEngine(const FullNode& node,
                          ServingEngineOptions options = {});
 
   /// Generic mode: pool + queue + metrics + response cache over an
-  /// arbitrary handler (tests, non-FullNode backends). No segment cache.
+  /// arbitrary handler (tests, non-FullNode backends).
   explicit ServingEngine(Handler backend, ServingEngineOptions options = {});
 
   ~ServingEngine();
@@ -128,8 +116,8 @@ class ServingEngine {
   /// before caching/dispatch — cache keys and replies depend only on the
   /// inner request, so wrapped and bare forms are byte-identical — and the
   /// budget becomes a server-side deadline: a job still queued past it is
-  /// dropped with kExpired, and a cold assembly checks it between segment
-  /// stages.
+  /// dropped with kExpired, and a reply that finishes past it is answered
+  /// kExpired and not cached.
   Bytes handle(ByteSpan request);
 
   /// Non-blocking entry point for the reactor server: everything handle()
@@ -146,8 +134,6 @@ class ServingEngine {
   /// entirely different node). Waits for in-flight requests to drain,
   /// bumps the cache epoch — every cached response keys on the epoch, so
   /// the whole response cache is invalidated atomically — and clears it.
-  /// Segment-cache entries key on header hashes and simply become
-  /// unreachable when their chain prefix did not survive.
   void rebind(const FullNode& node);
 
   /// Re-reads the bound node's current tip after it grew in place (e.g.
@@ -185,46 +171,12 @@ class ServingEngine {
     CompletionFn complete;
   };
 
-  /// One segment proof to materialize: which address, its bloom check
-  /// positions, and the (sub)segment range. The shape-normalized segment
-  /// cache key is derived from exactly these plus the range's last header
-  /// hash, so point, batch, and range fast paths share entries.
-  struct SegUnit {
-    const Address* address;
-    const std::vector<std::uint64_t>* cbp;
-    SubSegment range;
-  };
-
   void start_workers();
   void worker_loop();
-  /// Executes one request on a worker: fast path or backend, then the
-  /// cost-aware response-cache admission decision. Returns a kExpired
-  /// envelope if `deadline` passes mid-assembly.
+  /// Executes one request on a worker: runs the backend, answers kExpired
+  /// (uncached) if `deadline` passed meanwhile, then makes the cost-aware
+  /// response-cache admission decision.
   Bytes process(ByteSpan request, netio::Deadline deadline);
-  /// BMT segment-splicing fast path (with caches enabled, misses fill the
-  /// segment cache; without, it is a pure parallel assembly); nullopt
-  /// falls back to the backend; a kExpired envelope when the deadline hit
-  /// between segment stages. Caller holds epoch_mu_ (shared).
-  std::optional<Bytes> fast_query(ByteSpan request, netio::Deadline deadline);
-  /// Batch fast path: a kBatchQueryResponse is a flat concatenation of
-  /// per-address kQuery bodies, each itself a flat concatenation of
-  /// segment proofs — all spliced from / filled into the same
-  /// shape-normalized segment entries the point path uses.
-  std::optional<Bytes> fast_batch(ByteSpan request, netio::Deadline deadline);
-  /// Range fast path: cover pieces that are whole query-forest segments
-  /// (empty anchor path) serialize byte-identically to SegmentQueryProof,
-  /// so they splice from the shared segment entries; the remaining
-  /// anchored pieces are built via build_anchored_piece().
-  std::optional<Bytes> fast_range(ByteSpan request, netio::Deadline deadline);
-  /// Fills out->at(i) with the segment-proof wire bytes for units[i]:
-  /// cache hits splice stored bytes, misses assemble (fanned across the
-  /// shared pool) and fill the segment cache. Returns false when
-  /// `deadline` expired mid-assembly (out is unusable; callers answer
-  /// kExpired).
-  bool assemble_segment_units(const ChainContext& ctx,
-                              const std::vector<SegUnit>& units,
-                              netio::Deadline deadline,
-                              std::vector<Bytes>* out);
   static bool bulk_request(std::uint8_t type);
   /// Response-cache key: epoch prefix + raw request bytes. Lock-free —
   /// the epoch pair is read from atomics; a torn (generation, tip) read
@@ -237,7 +189,6 @@ class ServingEngine {
   const FullNode* node_;  // null in generic mode
   ServingEngineOptions options_;
   ShardedByteCache response_cache_;
-  ShardedByteCache segment_cache_;
   ServerMetrics metrics_;
 
   /// Guards node_ and serializes epoch transitions. Shared-held for the

@@ -5,6 +5,8 @@
 
 #include <bit>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "core/bmt.hpp"
 #include "core/bmt_proof.hpp"
@@ -219,6 +221,17 @@ struct ProofFixture {
   std::uint64_t seed;
 };
 
+std::string fixture_name(const ProofFixture& fx) {
+  return "m" + std::to_string(fx.segment_length) + "_avail" +
+         std::to_string(fx.available) + "_seed" + std::to_string(fx.seed);
+}
+
+// gtest prints the parameter into the test's ctest name; without PrintTo it
+// hex-dumps the struct, uninitialised padding included.
+void PrintTo(const ProofFixture& fx, std::ostream* os) {
+  *os << fixture_name(fx);
+}
+
 class BmtProofSweep : public ::testing::TestWithParam<ProofFixture> {};
 
 TEST_P(BmtProofSweep, ProofRoundTripsAndVerifies) {
@@ -270,7 +283,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ProofFixture{1, 1, 21}, ProofFixture{4, 4, 22},
                       ProofFixture{16, 16, 23}, ProofFixture{16, 11, 24},
                       ProofFixture{64, 64, 25}, ProofFixture{64, 37, 26},
-                      ProofFixture{128, 128, 27}));
+                      ProofFixture{128, 128, 27}),
+    [](const ::testing::TestParamInfo<ProofFixture>& info) {
+      return fixture_name(info.param);
+    });
 
 class BmtProofAttack : public ::testing::Test {
  protected:

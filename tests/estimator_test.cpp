@@ -2,6 +2,9 @@
 // serialized responses, per category, across every design and address.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/size_estimator.hpp"
 #include "node/session.hpp"
 #include "workload/workload.hpp"
@@ -27,6 +30,20 @@ struct Param {
   BloomGeometry bloom;
   std::uint32_t m;
 };
+
+std::string param_name(const Param& param) {
+  std::string name = design_name(param.design);
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_bf" + std::to_string(param.bloom.size_bytes) + "_k" +
+         std::to_string(param.bloom.hash_count) + "_m" +
+         std::to_string(param.m);
+}
+
+// gtest prints the parameter into the test's ctest name; without PrintTo it
+// hex-dumps the struct, uninitialised padding included.
+void PrintTo(const Param& param, std::ostream* os) { *os << param_name(param); }
 
 class EstimatorSweep : public ::testing::TestWithParam<Param> {};
 
@@ -64,7 +81,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{Design::kLvqNoBmt, BloomGeometry{24, 4}, 16},
                       Param{Design::kStrawmanVariant, BloomGeometry{512, 8}, 16},
                       Param{Design::kStrawmanVariant, BloomGeometry{24, 4}, 16},
-                      Param{Design::kStrawman, BloomGeometry{256, 6}, 16}));
+                      Param{Design::kStrawman, BloomGeometry{256, 6}, 16}),
+    [](const ::testing::TestParamInfo<Param>& info) {
+      return param_name(info.param);
+    });
 
 }  // namespace
 }  // namespace lvq

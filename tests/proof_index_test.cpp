@@ -4,7 +4,8 @@
 // pure accelerator — every proof byte a context produces with its index is
 // identical to the tree-walk fallback, for every design, and an extended
 // context aliases the sealed prefix of its base's index instead of
-// rederiving it. The engine's cold fan-out rides the same guarantee.
+// rederiving it. The node's batch/range dispatch and the engine's cold
+// path ride the same guarantee.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -46,6 +47,59 @@ Bytes make_query_request(const Address& a) {
   return encode_envelope(MsgType::kQueryRequest, as_span(w.data()));
 }
 
+Bytes make_batch_request(const std::vector<Address>& addrs) {
+  Writer w;
+  w.varint(addrs.size());
+  for (const Address& a : addrs) a.serialize(w);
+  return encode_envelope(MsgType::kBatchQueryRequest, as_span(w.data()));
+}
+
+Bytes make_range_request(const Address& a, std::uint64_t from,
+                         std::uint64_t to) {
+  Writer w;
+  RangeQueryRequest{a, from, to}.serialize(w);
+  return encode_envelope(MsgType::kRangeQueryRequest, as_span(w.data()));
+}
+
+/// Reference batch reply: the envelope byte, the count, then each
+/// address's structured QueryResponse bytes.
+Bytes structured_batch_reply(const ChainContext& ctx,
+                             const std::vector<Address>& addrs) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kBatchQueryResponse));
+  w.varint(addrs.size());
+  for (const Address& a : addrs) build_query_response(ctx, a).serialize(w);
+  return w.take();
+}
+
+/// Reference range reply: the envelope byte, then the structured
+/// RangeQueryResponse bytes.
+Bytes structured_range_reply(const ChainContext& ctx, const Address& a,
+                             std::uint64_t from, std::uint64_t to) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kRangeQueryResponse));
+  build_range_response(ctx, a, from, to).serialize(w);
+  return w.take();
+}
+
+/// Ranges covering every query-forest segment whole, the whole chain, and
+/// partial spans that need anchored pieces.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> probe_ranges(
+    const ChainContext& ctx) {
+  const std::uint64_t tip = ctx.tip_height();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const SubSegment& range :
+       query_forest(tip, ctx.config().segment_length)) {
+    out.emplace_back(range.first, range.last);
+  }
+  out.emplace_back(1, tip);
+  out.emplace_back(2, tip - 1);
+  out.emplace_back(3, 9);
+  out.emplace_back(6, 6);
+  out.emplace_back(tip, tip);
+  return out;
+}
+
 /// Every design, every profile (busy / rare / never-seen): query responses
 /// from an indexed context, an index-less context, and an indexed context
 /// assembling across a pool must be byte-identical.
@@ -76,10 +130,10 @@ TEST(ProofIndex, QueryBytesIdenticalWithAndWithoutIndex) {
   }
 }
 
-/// The streaming serializer must emit byte-for-byte what the structured
-/// path (build_query_response + serialize) emits — with the index, without
-/// it, and across a pool — and its size-only companion must predict the
-/// byte count exactly.
+/// The streaming serializers must emit byte-for-byte what the structured
+/// paths (build_query_response / build_range_response + serialize) emit —
+/// with the index, without it, and across a pool — and the size-only
+/// companion must predict the byte count exactly.
 TEST(ProofIndex, DirectSerializationMatchesStructuredPath) {
   const ExperimentSetup setup = test_setup(22);
   ThreadPool pool(4);
@@ -106,6 +160,18 @@ TEST(ProofIndex, DirectSerializationMatchesStructuredPath) {
         serialize_query_response(pooled, *ctx, p.address, &pool);
         EXPECT_EQ(want, pooled.data())
             << design_name(design) << " " << p.label << " (pooled)";
+
+        for (auto [from, to] : probe_ranges(*indexed)) {
+          Writer structured;
+          build_range_response(*indexed, p.address, from, to)
+              .serialize(structured);
+          Writer streamed;
+          serialize_range_response(streamed, *ctx, p.address, from, to);
+          EXPECT_EQ(structured.data(), streamed.data())
+              << design_name(design) << " " << p.label << " [" << from
+              << ", " << to << "]"
+              << (ctx == walked.get() ? " (tree-walk)" : " (indexed)");
+        }
       }
 
       if (config.has_bmt()) {
@@ -325,9 +391,58 @@ TEST(ProofIndex, ExtendedIndexedChainVerifiesEndToEnd) {
   }
 }
 
-/// The serving engine's cold path (caches disabled, per-segment fan-out
-/// across the shared pool) must produce the same bytes as the node's own
-/// handler, serial or parallel.
+/// FullNode::handle_message replies byte-match the structured reference
+/// for every design: pooled batches, whole-segment and partial ranges,
+/// both on the built chain and after append_blocks grew it in place (the
+/// forest spans several segments at M=4 either way).
+TEST(ProofIndex, NodeRepliesMatchStructuredReference) {
+  const ExperimentSetup setup = test_setup(22, /*seed=*/31);
+  for (Design design : {Design::kStrawman, Design::kStrawmanVariant,
+                        Design::kLvqNoBmt, Design::kLvqNoSmt, Design::kLvq}) {
+    ProtocolConfig config{design, BloomGeometry{128, 4}, 4};
+    auto base_workload = std::make_shared<Workload>();
+    base_workload->blocks.assign(setup.workload->blocks.begin(),
+                                 setup.workload->blocks.begin() + 13);
+    FullNode node(ChainBuilder::build(std::move(base_workload), config));
+
+    for (int stage = 0; stage < 2; ++stage) {
+      if (stage == 1) {
+        node.append_blocks({setup.workload->blocks.begin() + 13,
+                            setup.workload->blocks.end()});
+      }
+      const std::shared_ptr<const ChainContext> ctx = node.context();
+      ASSERT_GT(query_forest(ctx->tip_height(), 4).size(), 1u);
+      const std::string where =
+          std::string(design_name(design)) + " tip " +
+          std::to_string(ctx->tip_height());
+
+      // Several addresses (each profile twice) so the batch fans out.
+      std::vector<Address> addrs;
+      for (int rep = 0; rep < 2; ++rep) {
+        for (const AddressProfile& p : setup.workload->profiles) {
+          addrs.push_back(p.address);
+        }
+      }
+      Bytes batch = make_batch_request(addrs);
+      EXPECT_EQ(node.handle_message(as_span(batch)),
+                structured_batch_reply(*ctx, addrs))
+          << where << " batch";
+
+      for (const AddressProfile& p : setup.workload->profiles) {
+        for (auto [from, to] : probe_ranges(*ctx)) {
+          Bytes range = make_range_request(p.address, from, to);
+          EXPECT_EQ(node.handle_message(as_span(range)),
+                    structured_range_reply(*ctx, p.address, from, to))
+              << where << " " << p.label << " [" << from << ", " << to
+              << "]";
+        }
+      }
+    }
+  }
+}
+
+/// The serving engine's cold path (caches disabled) must produce the same
+/// bytes as the node's own handler.
 TEST(ProofIndex, EngineColdFanoutMatchesNodeBytes) {
   const ExperimentSetup setup = test_setup(24, /*seed=*/12);
   ProtocolConfig config{Design::kLvq, BloomGeometry{128, 4}, 4};
@@ -335,24 +450,17 @@ TEST(ProofIndex, EngineColdFanoutMatchesNodeBytes) {
 
   ServingEngineOptions cold;
   cold.workers = 2;
-  cold.cache_bytes = 0;  // no response cache, no segment cache
-  cold.parallel_assembly = true;
-  ServingEngine parallel_engine(node, cold);
-
-  cold.parallel_assembly = false;
-  ServingEngine serial_engine(node, cold);
+  cold.cache_bytes = 0;  // no response cache
+  ServingEngine engine(node, cold);
 
   for (const AddressProfile& p : setup.workload->profiles) {
     Bytes req = make_query_request(p.address);
-    Bytes want = node.handle_message(as_span(req));
-    EXPECT_EQ(parallel_engine.handle(as_span(req)), want) << p.label;
-    EXPECT_EQ(serial_engine.handle(as_span(req)), want) << p.label;
+    EXPECT_EQ(engine.handle(as_span(req)), node.handle_message(as_span(req)))
+        << p.label;
   }
 
-  // With caches disabled nothing may be retained between requests.
-  MetricsSnapshot s = parallel_engine.snapshot();
-  EXPECT_EQ(s.cache_entries, 0u);
-  EXPECT_EQ(s.segment_entries, 0u);
+  // With the cache disabled nothing may be retained between requests.
+  EXPECT_EQ(engine.snapshot().cache_entries, 0u);
 }
 
 }  // namespace

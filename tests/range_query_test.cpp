@@ -2,7 +2,9 @@
 // round trips across designs, ground-truth restriction, and attacks.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/range_query.hpp"
 #include "node/session.hpp"
@@ -114,13 +116,44 @@ struct RangeParam {
   std::uint64_t from, to;
 };
 
+std::string range_param_name(const RangeParam& param) {
+  std::string name = design_name(param.design);
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_" + std::to_string(param.from) + "_" +
+         std::to_string(param.to);
+}
+
+// gtest prints the parameter into the test's ctest name; without PrintTo it
+// hex-dumps the struct, uninitialised padding included.
+void PrintTo(const RangeParam& param, std::ostream* os) {
+  *os << range_param_name(param);
+}
+
 class RangeE2E : public ::testing::TestWithParam<RangeParam> {};
 
 TEST_P(RangeE2E, VerifiedRangeMatchesGroundTruth) {
   const RangeParam& param = GetParam();
   ProtocolConfig config{param.design, kGeom, kM};
   QuerySession session(setup(), config);
+  const FullNode& full = session.full_node();
   for (const AddressProfile& p : setup().workload->profiles) {
+    // The node's streamed reply (whole forest segments through the indexed
+    // segment serializer, the rest anchored) must byte-match the
+    // structured build_range_response bytes.
+    Writer rw;
+    RangeQueryRequest{p.address, param.from, param.to}.serialize(rw);
+    Bytes request = encode_envelope(
+        MsgType::kRangeQueryRequest,
+        ByteSpan{rw.data().data(), rw.data().size()});
+    Writer want;
+    want.u8(static_cast<std::uint8_t>(MsgType::kRangeQueryResponse));
+    full.range_query(p.address, param.from, param.to).serialize(want);
+    EXPECT_EQ(full.handle_message(ByteSpan{request.data(), request.size()}),
+              want.data())
+        << p.label;
+
     auto result = session.light_node().query_range(
         session.transport(), p.address, param.from, param.to);
     ASSERT_TRUE(result.outcome.ok)
@@ -151,7 +184,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RangeParam{Design::kLvqNoSmt, 7, 23},
                       RangeParam{Design::kStrawmanVariant, 7, 23},
                       RangeParam{Design::kStrawman, 7, 23},
-                      RangeParam{Design::kLvqNoBmt, 7, 23}));
+                      RangeParam{Design::kLvqNoBmt, 7, 23}),
+    [](const ::testing::TestParamInfo<RangeParam>& info) {
+      return range_param_name(info.param);
+    });
 
 TEST(RangeQuery, RandomizedSweep) {
   ProtocolConfig config{Design::kLvq, kGeom, kM};

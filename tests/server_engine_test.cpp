@@ -199,9 +199,8 @@ TEST(Metrics, TruncatedSnapshotRejected) {
   EXPECT_THROW(MetricsSnapshot::deserialize(r), SerializeError);
 }
 
-// Cached, fast-path, and uncached serving must be byte-identical across
-// every design and request type — the cache must never change what a
-// light node sees.
+// Cached and uncached serving must be byte-identical across every design
+// and request type — the cache must never change what a light node sees.
 TEST(ServingEngine, ByteIdenticalWithAndWithoutCache) {
   for (Design design : {Design::kLvq, Design::kLvqNoSmt, Design::kLvqNoBmt,
                         Design::kStrawmanVariant}) {
@@ -252,30 +251,6 @@ TEST(ServingEngine, CachedRepliesVerifyOnLightNode) {
     }
   }
   EXPECT_GT(engine.snapshot().cache_hits, 0u);
-}
-
-TEST(ServingEngine, SegmentSubCacheServesRepeatQueries) {
-  ProtocolConfig config{Design::kLvq, kGeom, 8};
-  FullNode full(setup().workload, setup().derived, config);
-  ServingEngineOptions eng_opts;
-  eng_opts.cache_admit_min_us = 0;  // tiny chain: admit everything
-  ServingEngine engine(full, eng_opts);
-  const Address addr = setup().workload->profiles[0].address;
-  Bytes req = make_query_request(addr);
-
-  Bytes first = engine.handle(as_span(req));
-  MetricsSnapshot snap = engine.snapshot();
-  EXPECT_GT(snap.segment_misses, 0u);
-  EXPECT_EQ(snap.segment_hits, 0u);
-
-  // Same request again: whole-response cache hit, segment cache untouched.
-  EXPECT_EQ(engine.handle(as_span(req)), first);
-  // New epoch, same chain: response cache cleared, but every segment key
-  // still matches, so the reply is reassembled from cached segments.
-  engine.invalidate();
-  EXPECT_EQ(engine.handle(as_span(req)), first);
-  snap = engine.snapshot();
-  EXPECT_GT(snap.segment_hits, 0u);
 }
 
 TEST(ServingEngine, ConcurrentMixedTrafficIsConsistent) {
@@ -342,14 +317,10 @@ TEST(ServingEngine, EpochInvalidationAcrossAppendAndReorg) {
   EXPECT_EQ(engine.handle(as_span(req)), node1.handle_message(as_span(req)));
   EXPECT_EQ(engine.handle(as_span(req)), node1.handle_message(as_span(req)));
 
-  // Append: tip advances; stable segments are reused, responses match the
-  // new node exactly.
+  // Append: tip advances; responses match the new node exactly.
   engine.rebind(node2);
-  std::uint64_t hits_before = engine.snapshot().segment_hits;
   Bytes r2 = engine.handle(as_span(req));
   EXPECT_EQ(r2, node2.handle_message(as_span(req)));
-  EXPECT_GT(engine.snapshot().segment_hits, hits_before)
-      << "stable segments should survive a pure append";
 
   // Reorg at the same height: same tip, different content. Cached bytes
   // for node2 must not leak out.

@@ -28,7 +28,7 @@
 // ChainBuilder path (ChainContext::extend) and reports how long the
 // extend took versus the cold rebuild it replaced; a running `serve`
 // picks the new blocks up on SIGHUP without restarting — it extends its
-// live context by the file's new tail and rebinds the engine's caches,
+// live context by the file's new tail and rebinds the engine's cache,
 // reporting the rebind latency.
 //
 // `serve` and `append` also take --store=DIR (src/store/): the durable
@@ -377,7 +377,7 @@ void on_shutdown(int) { g_shutdown = 1; }
 
 /// SIGHUP refresh for `serve`: reloads the ledger file, verifies it is a
 /// strict extension of what is being served, extends the live context by
-/// the new tail (O(new blocks)), and rebinds the engine's caches. When a
+/// the new tail (O(new blocks)), and rebinds the engine's cache. When a
 /// store is attached the extension writes through to it, so the new tail
 /// is durable before the engine starts serving it.
 void refresh_from_file(const std::string& path, FullNode& full,
