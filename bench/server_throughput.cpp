@@ -10,6 +10,11 @@
 //   warm  — response cache enabled and pre-warmed: repeats are served
 //           from it.
 //
+// A socket round-trip row runs 200 sequential TcpTransport round trips of
+// one warm point query against a ReactorServer + ServingEngine: the
+// in-process rows never cross a socket and the C10k client sets
+// TCP_NODELAY, so only this row sees the light node's own send path.
+//
 // A third regime exercises the C10k serving path end to end: a forked
 // client process opens 1k / 10k real loopback connections against a
 // ReactorServer and drives a fixed number of in-flight warm-cache
@@ -47,7 +52,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "net/frame.hpp"
 #include "net/reactor_server.hpp"
+#include "net/tcp_transport.hpp"
 #include "server/serving_engine.hpp"
 
 using namespace lvq;
@@ -244,6 +251,43 @@ OverloadResult run_overload(const FullNode& full,
   return r;
 }
 
+struct SocketRttResult {
+  std::uint64_t round_trips = 0;
+  std::uint64_t reply_bytes = 0;
+  double p50_us = 0;
+  double p99_us = 0;
+};
+
+/// Socket round-trip regime: sequential TcpTransport round trips of one
+/// warm point query against the reactor. The only row whose client writes
+/// through netio::write_frame on a socket without TCP_NODELAY, so a frame
+/// that leaves in two sends (Nagle holding the payload until the server's
+/// delayed ACK, ~44 ms) shows up as its p50.
+SocketRttResult run_socket_rtt(std::uint16_t port, const Bytes& request) {
+  constexpr std::uint64_t kRoundTrips = 200;
+  TcpTransport client(port);
+
+  SocketRttResult r;
+  std::vector<double> lat_us;
+  lat_us.reserve(kRoundTrips);
+  for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
+    Timer t;
+    Bytes reply = client.round_trip(ByteSpan{request.data(), request.size()});
+    lat_us.push_back(t.seconds() * 1e6);
+    if (reply.empty() ||
+        reply[0] != static_cast<std::uint8_t>(MsgType::kQueryResponse)) {
+      std::fprintf(stderr, "unexpected reply type over the socket\n");
+      std::abort();
+    }
+    r.reply_bytes = reply.size();
+  }
+  std::sort(lat_us.begin(), lat_us.end());
+  r.round_trips = kRoundTrips;
+  r.p50_us = percentile(lat_us, 0.50);
+  r.p99_us = percentile(lat_us, 0.99);
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // Connection-scaling phase: C10k against the ReactorServer.
 
@@ -286,17 +330,6 @@ int connect_loopback(std::uint16_t port) {
   return fd;
 }
 
-Bytes frame_request(const Bytes& payload) {
-  Bytes wire;
-  const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  wire.push_back(static_cast<std::uint8_t>(n & 0xff));
-  wire.push_back(static_cast<std::uint8_t>((n >> 8) & 0xff));
-  wire.push_back(static_cast<std::uint8_t>((n >> 16) & 0xff));
-  wire.push_back(static_cast<std::uint8_t>((n >> 24) & 0xff));
-  wire.insert(wire.end(), payload.begin(), payload.end());
-  return wire;
-}
-
 /// Raise the soft fd limit to the hard one and return how many
 /// connections we can actually afford (with slack for epoll/pipes/std
 /// fds). Scales the target down LOUDLY rather than failing quietly.
@@ -334,7 +367,9 @@ ScaleWire run_scale_client(std::uint16_t port, std::uint64_t target,
   ScaleWire out;
   const std::uint64_t conns = clamp_conns_to_rlimit(target);
   std::vector<Bytes> wires;
-  for (const Bytes& r : requests) wires.push_back(frame_request(r));
+  for (const Bytes& r : requests) {
+    wires.push_back(netio::encode_frame(ByteSpan{r.data(), r.size()}));
+  }
 
   struct ConnState {
     int fd = -1;
@@ -428,10 +463,7 @@ ScaleWire run_scale_client(std::uint16_t port, std::uint64_t target,
       // One request in flight per connection, so at most one complete
       // reply frame is pending in rbuf.
       if (c.fd >= 0 && c.busy && c.rbuf.size() >= 4) {
-        const std::uint32_t len = static_cast<std::uint32_t>(c.rbuf[0]) |
-                                  (static_cast<std::uint32_t>(c.rbuf[1]) << 8) |
-                                  (static_cast<std::uint32_t>(c.rbuf[2]) << 16) |
-                                  (static_cast<std::uint32_t>(c.rbuf[3]) << 24);
+        const std::uint32_t len = netio::decode_frame_len(c.rbuf.data());
         if (c.rbuf.size() >= 4ull + len) {
           lat_us.push_back(
               std::chrono::duration_cast<std::chrono::microseconds>(
@@ -465,7 +497,8 @@ ScaleWire run_scale_client(std::uint16_t port, std::uint64_t target,
 ChurnWire run_churn_client(std::uint16_t port, const Bytes& request,
                            std::uint64_t measure_ms) {
   ChurnWire out;
-  const Bytes wire = frame_request(request);
+  const Bytes wire =
+      netio::encode_frame(ByteSpan{request.data(), request.size()});
   constexpr int kChurners = 8;
   std::atomic<std::uint64_t> cycles{0};
   std::atomic<std::uint64_t> failures{0};
@@ -500,11 +533,7 @@ ChurnWire run_churn_client(std::uint16_t port, const Bytes& request,
           }
           rbuf.insert(rbuf.end(), buf, buf + r);
           if (rbuf.size() >= 4) {
-            const std::uint32_t len =
-                static_cast<std::uint32_t>(rbuf[0]) |
-                (static_cast<std::uint32_t>(rbuf[1]) << 8) |
-                (static_cast<std::uint32_t>(rbuf[2]) << 16) |
-                (static_cast<std::uint32_t>(rbuf[3]) << 24);
+            const std::uint32_t len = netio::decode_frame_len(rbuf.data());
             if (rbuf.size() >= 4ull + len) break;
           }
         }
@@ -644,9 +673,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // Connection-scaling phase: warm-cache queries over real sockets at 1k
-  // and 10k concurrent connections, then a connection-churn soak. One
-  // ReactorServer instance serves every cell so the 10k row also proves
-  // the connection table survives the 1k cell's traffic.
+  // and 10k concurrent connections, then a connection-churn soak.
   std::vector<std::uint64_t> scale_targets;
   {
     std::string spec = env.flags.get_str("scale-conns", "1000,10000");
@@ -663,34 +690,44 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // One ReactorServer in front of a warm engine serves the socket
+  // round-trip row, every scaling cell and the churn soak, so the 10k row
+  // also proves the connection table survives the earlier cells' traffic.
+  std::vector<Bytes> requests;
+  for (const Address& a : addrs) {
+    Writer w;
+    QueryRequest{a}.serialize(w);
+    requests.push_back(encode_envelope(
+        MsgType::kQueryRequest, ByteSpan{w.data().data(), w.data().size()}));
+  }
+  ServingEngineOptions eopts;
+  eopts.workers = 4;
+  eopts.queue_depth = 256;
+  eopts.cache_bytes = cache_bytes;
+  eopts.cache_admit_min_us = admit_min_us;
+  ServingEngine engine(full_indexed, eopts);
+  for (const Bytes& r : requests) {  // pre-warm the response cache
+    engine.handle(ByteSpan{r.data(), r.size()});
+  }
+  ReactorServerOptions ropts;
+  ropts.io_threads = 1;
+  ReactorServer server(
+      [&engine](ConnId conn, ByteSpan req, ReactorServer::CompletionFn done) {
+        engine.submit(conn, req, std::move(done));
+      },
+      ropts);
+
+  SocketRttResult rtt = run_socket_rtt(server.port(), requests.front());
+  std::printf("%8s %6s %10llu %12s %10.1f %10s %10.1f  (%llu-byte reply)\n",
+              "socket", "rtt", static_cast<unsigned long long>(rtt.round_trips),
+              "-", rtt.p50_us, "-", rtt.p99_us,
+              static_cast<unsigned long long>(rtt.reply_bytes));
+  std::fflush(stdout);
+
   std::vector<ScaleCell> scale_cells;
   ChurnWire churn;
   bool churn_ok = false;
   if (!scale_targets.empty()) {
-    std::vector<Bytes> requests;
-    for (const Address& a : addrs) {
-      Writer w;
-      QueryRequest{a}.serialize(w);
-      requests.push_back(encode_envelope(
-          MsgType::kQueryRequest, ByteSpan{w.data().data(), w.data().size()}));
-    }
-    ServingEngineOptions eopts;
-    eopts.workers = 4;
-    eopts.queue_depth = 256;
-    eopts.cache_bytes = cache_bytes;
-    eopts.cache_admit_min_us = admit_min_us;
-    ServingEngine engine(full_indexed, eopts);
-    for (const Bytes& r : requests) {  // pre-warm the response cache
-      engine.handle(ByteSpan{r.data(), r.size()});
-    }
-    ReactorServerOptions ropts;
-    ropts.io_threads = 1;
-    ReactorServer server(
-        [&engine](ConnId conn, ByteSpan req, ReactorServer::CompletionFn done) {
-          engine.submit(conn, req, std::move(done));
-        },
-        ropts);
-
     std::printf("\n%12s %10s %10s %12s %10s %10s\n", "target-conns", "conns",
                 "requests", "qps", "p50-us", "p99-us");
     for (std::uint64_t target : scale_targets) {
@@ -769,13 +806,18 @@ int main(int argc, char** argv) {
                "  \"overload\": {\"workers\": %u, \"queue_depth\": %u, "
                "\"clients\": %u, \"offered\": %llu, \"served\": %llu, "
                "\"busy\": %llu, \"served_qps\": %.1f, \"p50_us\": %.1f, "
-               "\"p99_us\": %.1f, \"busy_rate\": %.4f}%s\n",
+               "\"p99_us\": %.1f, \"busy_rate\": %.4f},\n",
                ov.workers, ov.queue_depth, ov.clients,
                static_cast<unsigned long long>(ov.offered),
                static_cast<unsigned long long>(ov.served),
                static_cast<unsigned long long>(ov.busy), ov.served_qps,
-               ov.p50_us, ov.p99_us, ov.busy_rate,
-               scale_cells.empty() ? "" : ",");
+               ov.p50_us, ov.p99_us, ov.busy_rate);
+  std::fprintf(f,
+               "  \"socket_rtt\": {\"round_trips\": %llu, \"reply_bytes\": "
+               "%llu, \"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
+               static_cast<unsigned long long>(rtt.round_trips),
+               static_cast<unsigned long long>(rtt.reply_bytes), rtt.p50_us,
+               rtt.p99_us, scale_cells.empty() ? "" : ",");
   if (!scale_cells.empty()) {
     std::fprintf(f, "  \"conn_scaling\": [\n");
     for (std::size_t i = 0; i < scale_cells.size(); ++i) {

@@ -229,8 +229,7 @@ void FlakyServer::serve_connection(Worker* worker) {
         // without allocating, let alone reading, that much.
         std::uint32_t lie = cap == 0xffffffffu ? cap : cap + 1;
         std::uint8_t header[4];
-        for (int i = 0; i < 4; ++i)
-          header[i] = static_cast<std::uint8_t>(lie >> (8 * i));
+        netio::encode_frame_header(header, lie);
         netio::write_raw(fd, ByteSpan{header, 4}, write_deadline);
         keep_open = false;
         break;

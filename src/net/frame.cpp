@@ -2,8 +2,10 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 
@@ -56,22 +58,39 @@ IoResult read_full(int fd, std::uint8_t* out, std::size_t n,
   return IoResult::kOk;
 }
 
-IoResult write_full(int fd, const std::uint8_t* data, std::size_t n,
-                    Deadline deadline) {
-  std::size_t off = 0;
-  while (off < n) {
+/// Sends every byte of `iov[0..cnt)`, one sendmsg per readiness, so all
+/// the buffers leave together (a frame's header never goes out alone).
+/// Advances `iov` in place across partial writes.
+IoResult write_iov(int fd, iovec* iov, std::size_t cnt, Deadline deadline) {
+  for (;;) {
+    while (cnt > 0 && iov->iov_len == 0) {
+      ++iov;
+      --cnt;
+    }
+    if (cnt == 0) return IoResult::kOk;
     IoResult ready = wait_fd(fd, POLLOUT, deadline);
     if (ready != IoResult::kOk) return ready;
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = cnt;
     // MSG_NOSIGNAL: a peer that closed mid-write must surface as EPIPE,
     // not kill the process with SIGPIPE.
-    ssize_t put = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
+    ssize_t put = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return IoResult::kError;
     }
-    off += static_cast<std::size_t>(put);
+    for (auto left = static_cast<std::size_t>(put); left > 0;) {
+      const std::size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      left -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --cnt;
+      }
+    }
   }
-  return IoResult::kOk;
 }
 
 FrameResult map_io(IoResult r, bool mid_frame) {
@@ -99,6 +118,11 @@ const char* frame_result_name(FrameResult r) {
   return "unknown";
 }
 
+void encode_frame_header(std::uint8_t header[4], std::uint32_t len) {
+  for (int i = 0; i < 4; ++i)
+    header[i] = static_cast<std::uint8_t>(len >> (8 * i));
+}
+
 std::uint32_t decode_frame_len(const std::uint8_t header[4]) {
   std::uint32_t n = 0;
   for (int i = 0; i < 4; ++i) n |= std::uint32_t{header[i]} << (8 * i);
@@ -111,13 +135,10 @@ FrameResult write_frame(int fd, ByteSpan payload, std::uint32_t cap,
   // rejected here, not framed with a silently wrapped length.
   if (payload.size() > cap) return FrameResult::kOversize;
   std::uint8_t header[4];
-  std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    header[i] = static_cast<std::uint8_t>(n >> (8 * i));
-  IoResult r = write_full(fd, header, 4, deadline);
-  if (r != IoResult::kOk) return map_io(r, /*mid_frame=*/true);
-  r = write_full(fd, payload.data(), payload.size(), deadline);
-  return map_io(r, /*mid_frame=*/true);
+  encode_frame_header(header, static_cast<std::uint32_t>(payload.size()));
+  iovec iov[2] = {{header, 4},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  return map_io(write_iov(fd, iov, 2, deadline), /*mid_frame=*/true);
 }
 
 FrameResult read_frame(int fd, Bytes& out, std::uint32_t cap,
@@ -142,8 +163,8 @@ FrameResult wait_readable(int fd, Deadline deadline) {
 }
 
 FrameResult write_raw(int fd, ByteSpan data, Deadline deadline) {
-  return map_io(write_full(fd, data.data(), data.size(), deadline),
-                /*mid_frame=*/true);
+  iovec iov{const_cast<std::uint8_t*>(data.data()), data.size()};
+  return map_io(write_iov(fd, &iov, 1, deadline), /*mid_frame=*/true);
 }
 
 ParseStatus parse_frame(ByteSpan in, std::uint32_t cap, ByteSpan* payload,
@@ -159,11 +180,9 @@ ParseStatus parse_frame(ByteSpan in, std::uint32_t cap, ByteSpan* payload,
 
 Bytes encode_frame(ByteSpan payload) {
   LVQ_CHECK(payload.size() <= 0xffffffffu);
-  Bytes out;
+  Bytes out(4);
   out.reserve(payload.size() + 4);
-  std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+  encode_frame_header(out.data(), static_cast<std::uint32_t>(payload.size()));
   append(out, payload);
   return out;
 }

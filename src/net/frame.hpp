@@ -5,6 +5,13 @@
 // at most the configured timeout, never a hang. Frames are `u32 LE length |
 // payload` with a caller-supplied size cap checked *before* any cast to
 // u32, so a >4 GiB payload is rejected instead of silently truncated.
+// Every frame writer encodes the header through `encode_frame_header`.
+//
+// Each frame leaves in one send call (`sendmsg` over a header iovec and a
+// payload iovec). Sending the header and the payload as two writes makes a
+// client's request a write-write-read: Nagle holds the payload until the
+// server's delayed ACK of the header fires, ~44 ms per round trip on Linux
+// loopback.
 //
 // The pure parser (`parse_frame`) is shared with the fuzz tests and the
 // fault-injection harness: one source of truth for what a valid frame is.
@@ -39,8 +46,9 @@ enum class FrameResult : std::uint8_t {
 
 const char* frame_result_name(FrameResult r);
 
-/// Writes `u32 len | payload`. Rejects payloads over `cap` (checked as
-/// size_t, before the narrowing cast) with kOversize.
+/// Writes `u32 len | payload` in one gathered send; a partial write
+/// resumes mid-iovec until the whole frame is out. Rejects payloads over
+/// `cap` (checked as size_t, before the narrowing cast) with kOversize.
 FrameResult write_frame(int fd, ByteSpan payload, std::uint32_t cap,
                         Deadline deadline);
 
@@ -67,6 +75,9 @@ enum class ParseStatus : std::uint8_t {
   kNeedMore,  // buffer is a valid but incomplete prefix
   kOversize,  // length prefix exceeds the cap
 };
+
+/// The 4 header bytes of a frame whose payload is `len` bytes (u32 LE).
+void encode_frame_header(std::uint8_t header[4], std::uint32_t len);
 
 /// Little-endian u32 from the 4 header bytes.
 std::uint32_t decode_frame_len(const std::uint8_t header[4]);

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "net/frame.hpp"
 #include "net/message.hpp"
 #include "net/transport_error.hpp"
 
@@ -25,14 +26,6 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 [[noreturn]] void fail_setup(const char* what) {
   throw TransportError(TransportError::kConnect,
                        std::string(what) + ": " + std::strerror(errno));
-}
-
-void encode_len(std::uint8_t header[4], std::size_t len) {
-  const std::uint32_t n = static_cast<std::uint32_t>(len);
-  header[0] = static_cast<std::uint8_t>(n & 0xff);
-  header[1] = static_cast<std::uint8_t>((n >> 8) & 0xff);
-  header[2] = static_cast<std::uint8_t>((n >> 16) & 0xff);
-  header[3] = static_cast<std::uint8_t>((n >> 24) & 0xff);
 }
 
 }  // namespace
@@ -220,7 +213,8 @@ void ReactorServer::shed_accept(int fd) {
   c->want_write = true;
   Bytes busy = encode_envelope(MsgType::kBusy, {});
   OutBuf ob;
-  encode_len(ob.header, busy.size());
+  netio::encode_frame_header(ob.header,
+                             static_cast<std::uint32_t>(busy.size()));
   const std::uint64_t total = 4 + busy.size();
   ob.payload = std::move(busy);
   ob.is_reply = false;
@@ -400,7 +394,8 @@ bool ReactorServer::flush_ready(Shard& sh, Conn* c) {
       return false;
     }
     OutBuf ob;
-    encode_len(ob.header, payload.size());
+    netio::encode_frame_header(ob.header,
+                               static_cast<std::uint32_t>(payload.size()));
     const std::uint64_t total = 4 + payload.size();
     ob.payload = std::move(payload);
     ob.is_reply = true;

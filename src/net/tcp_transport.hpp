@@ -8,11 +8,15 @@
 // event-loop `ReactorServer`, plus the legacy `TcpServer` shim).
 //
 // Framing per direction: u32 little-endian payload length, then payload
-// (see net/frame.hpp). The client is hardened against hostile or broken
-// peers: every blocking socket operation is governed by a deadline, frame
-// sizes are capped, failures surface as typed `TransportError`s, and the
-// client transparently reconnects on the next round trip after a
-// disconnect.
+// (see net/frame.hpp). Each request frame leaves in one send call: a
+// header and payload sent as two writes, then a read, let Nagle hold the
+// payload until the server's delayed ACK — ~44 ms per round trip on
+// loopback. With one send the client needs no TCP_NODELAY, and sets none.
+//
+// The client is hardened against hostile or broken peers: every blocking
+// socket operation is governed by a deadline, frame sizes are capped,
+// failures surface as typed `TransportError`s, and the client
+// transparently reconnects on the next round trip after a disconnect.
 #pragma once
 
 #include <cstdint>

@@ -39,13 +39,19 @@ struct E2EParam {
   std::uint32_t segment_length;
 };
 
-std::string param_name(const ::testing::TestParamInfo<E2EParam>& info) {
-  std::string name = design_name(info.param.design);
+std::string e2e_param_name(const E2EParam& param) {
+  std::string name = design_name(param.design);
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
-  return name + "_bf" + std::to_string(info.param.bloom.size_bytes) + "_m" +
-         std::to_string(info.param.segment_length);
+  return name + "_bf" + std::to_string(param.bloom.size_bytes) + "_m" +
+         std::to_string(param.segment_length);
+}
+
+// gtest prints the parameter into the test's ctest name; without PrintTo it
+// hex-dumps the struct, uninitialised padding included.
+void PrintTo(const E2EParam& param, std::ostream* os) {
+  *os << e2e_param_name(param);
 }
 
 class EndToEnd : public ::testing::TestWithParam<E2EParam> {};
@@ -102,7 +108,9 @@ INSTANTIATE_TEST_SUITE_P(
         E2EParam{Design::kLvq, kRoomy, 1},
         E2EParam{Design::kLvq, kRoomy, 128},
         E2EParam{Design::kLvq, kTight, 4}),
-    param_name);
+    [](const ::testing::TestParamInfo<E2EParam>& info) {
+      return e2e_param_name(info.param);
+    });
 
 /// Chain tips that are not multiples of M exercise §V-B (sub-segments).
 class LastSegmentSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,11 +1,16 @@
 // Tests for the real TCP loopback transport: the full query protocol over
 // genuine sockets, concurrent clients, and failure handling.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
 
+#include "net/frame.hpp"
 #include "net/reactor_server.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport_error.hpp"
@@ -249,6 +254,80 @@ TEST(TcpTransport, BatchQueryOverSockets) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].outcome.ok);
   EXPECT_TRUE(results[1].outcome.ok);
+}
+
+Bytes patterned(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 131 + (i >> 11));
+  }
+  return out;
+}
+
+// A frame's header and payload must leave in one send call: sent as two,
+// a client's request becomes write-write-read and Nagle holds the payload
+// until the server's delayed ACK (~44 ms a round trip on loopback). A
+// SOCK_SEQPACKET pair keeps each send one record, so a single recv shows
+// exactly what one send carried.
+TEST(WriteFrame, HeaderAndPayloadLeaveInOneSend) {
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{100} << 10}) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sv), 0);
+    const Bytes payload = patterned(n);
+    ASSERT_EQ(netio::write_frame(sv[0], ByteSpan{payload.data(), n}, 1u << 20,
+                                 netio::deadline_after_ms(5'000)),
+              netio::FrameResult::kOk);
+    Bytes got(4 + n + 1);
+    const ssize_t r = ::recv(sv[1], got.data(), got.size(), 0);
+    ::close(sv[0]);
+    ::close(sv[1]);
+    ASSERT_EQ(r, static_cast<ssize_t>(4 + n)) << "payload of " << n << " B";
+    ByteSpan view;
+    std::size_t frame_len = 0;
+    ASSERT_EQ(netio::parse_frame(ByteSpan{got.data(), 4 + n}, 1u << 20, &view,
+                                 &frame_len),
+              netio::ParseStatus::kOk);
+    EXPECT_EQ(frame_len, 4 + n);
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), payload.begin(),
+                           payload.end()));
+  }
+}
+
+// A payload far over the send buffer goes out in many partial sendmsg
+// calls; each must resume mid-iovec so the stream stays byte-identical.
+TEST(WriteFrame, PartialWritesAdvanceAcrossIovecs) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)),
+            0);
+  // Non-blocking, like TcpTransport's socket: sendmsg returns short counts.
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL, 0) | O_NONBLOCK),
+            0);
+  const Bytes payload = patterned(std::size_t{4} << 20);
+  Bytes wire;
+  std::thread reader([&] {
+    std::uint8_t buf[16 * 1024];
+    for (;;) {
+      const ssize_t r = ::recv(sv[1], buf, sizeof(buf), 0);
+      if (r <= 0) break;
+      wire.insert(wire.end(), buf, buf + r);
+    }
+  });
+  const netio::FrameResult result = netio::write_frame(
+      sv[0], ByteSpan{payload.data(), payload.size()}, 8u << 20,
+      netio::deadline_after_ms(30'000));
+  ::close(sv[0]);
+  reader.join();
+  ::close(sv[1]);
+  ASSERT_EQ(result, netio::FrameResult::kOk);
+  ASSERT_EQ(wire.size(), 4 + payload.size());
+  ByteSpan view;
+  ASSERT_EQ(netio::parse_frame(ByteSpan{wire.data(), wire.size()}, 8u << 20,
+                               &view, nullptr),
+            netio::ParseStatus::kOk);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), payload.begin(),
+                         payload.end()));
 }
 
 }  // namespace

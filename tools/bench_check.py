@@ -65,6 +65,10 @@ shape invariants of the engine, not absolute numbers):
   * overload p99_us <= --overload-p99-slo-us (default 60000; 0 disables)
     — shedding must keep the served tail bounded in absolute terms, not
     just relative to a baseline that might itself be degraded.
+  * socket_rtt p50_us <= 10000 — the light node's blocking round trip
+    over a real socket (TcpTransport, no TCP_NODELAY) against the
+    reactor. A frame sent as two writes meets Nagle plus delayed ACK and
+    reads ~44 ms here; a missing row fails.
 
 Exits 0 when every check passes, 1 otherwise. Stdlib only.
 """
@@ -72,6 +76,10 @@ Exits 0 when every check passes, 1 otherwise. Stdlib only.
 import argparse
 import json
 import sys
+
+# A blocking TcpTransport round trip of a warm point query takes well under
+# 1 ms on loopback; a frame sent as two writes stalls it ~44 ms.
+SOCKET_RTT_P50_SLO_US = 10000
 
 
 def load(path):
@@ -122,6 +130,15 @@ def check_server_slo(fresh, args):
         gate("overload", "p99_us<=slo", ov["p99_us"],
              args.overload_p99_slo_us,
              ov["p99_us"] <= args.overload_p99_slo_us)
+
+    rtt = fresh.get("socket_rtt")
+    if rtt is None:
+        print(f"{'socket':>8} {'socket_rtt row':>24} {'':>10} {'':>10}  "
+              f"MISSING")
+        failures += 1
+    else:
+        gate("socket", "rtt p50_us<=slo", rtt["p50_us"],
+             SOCKET_RTT_P50_SLO_US, rtt["p50_us"] <= SOCKET_RTT_P50_SLO_US)
     return failures
 
 
